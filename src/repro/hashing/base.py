@@ -31,41 +31,13 @@ try:
 except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None
 
-#: Publication lock for the lazily built packed-row layouts.  Module
+#: Publication lock for the lazily built byte-table layouts.  Module
 #: level (not per instance): ``LinearHash`` is ``__slots__``-lean and
 #: pickled by the thousands into worker payloads, and the lock is held
 #: only for the compare-and-publish, so contention is nil.
 _PACK_LOCK = threading.Lock()
 
-
-def _parity_u64(a):
-    """Per-element parity of a uint64 numpy array (bit-packed popcount)."""
-    a = a ^ (a >> _np.uint64(32))
-    a = a ^ (a >> _np.uint64(16))
-    a = a ^ (a >> _np.uint64(8))
-    a = a ^ (a >> _np.uint64(4))
-    a = a ^ (a >> _np.uint64(2))
-    a = a ^ (a >> _np.uint64(1))
-    return (a & _np.uint64(1)).astype(_np.uint64)
-
-
-def _popcount_u64(a):
-    """Per-element popcount of a uint64 numpy array (SWAR)."""
-    a = a - ((a >> _np.uint64(1)) & _np.uint64(0x5555555555555555))
-    a = ((a >> _np.uint64(2)) & _np.uint64(0x3333333333333333)) \
-        + (a & _np.uint64(0x3333333333333333))
-    a = (a + (a >> _np.uint64(4))) & _np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (a * _np.uint64(0x0101010101010101)) >> _np.uint64(56)
-
-
-def trail_zeros_u64(values, out_bits: int):
-    """Vectorised ``TrailZero`` over a uint64 numpy array of hash values:
-    trailing zero bits of each value, ``out_bits`` for a zero value."""
-    values = _np.asarray(values, dtype=_np.uint64)
-    lowest = values & (~values + _np.uint64(1))  # Isolate the lowest set bit.
-    tz = _popcount_u64(lowest - _np.uint64(1)).astype(_np.int64)
-    tz[values == 0] = out_bits
-    return tz
+_WORD_MASK = (1 << 64) - 1
 
 
 def cell_level(value: int, out_bits: int) -> int:
@@ -170,11 +142,18 @@ class LinearHash:
         self._pack = None
 
     def _packed(self):
-        """The numpy row layout, built once and reused across chunks:
-        ``(rows_u64, value_shifts, offset_const)`` for the single-word
-        path plus ``(word_cols, word_shifts, offset_words)`` for the
-        multi-word path.  Chunked ingestion calls ``values_batch`` once
-        per chunk; without the cache every call re-packed the matrix.
+        """The byte-table layout, built once and reused across chunks.
+
+        ``h`` is affine, so ``A x`` is the XOR over input bytes ``j`` of
+        ``A (byte_j(x) << 8j)``.  ``tables[j, v]`` holds ``A (v << 8j)``
+        as ``words = ceil(out_bits / 64)`` uint64 words, most significant
+        word first, so a batch evaluates in ``ceil(in_bits / 8)`` gathers
+        and XORs: a ``ceil(in_bits/8) x 256 x words`` array (12 KiB for a
+        24 -> 72-bit hash).  Input bits at or above ``in_bits`` map to
+        zero columns, so they never reach a value.  ``offset_words`` is
+        ``b`` in the same layout.  Chunked ingestion calls
+        ``values_batch`` once per chunk; without the cache every call
+        would rebuild the tables.
 
         Thread-parallel tasks share hash objects by reference (the
         ``ThreadExecutor`` ships nothing), so a cold cache can be hit
@@ -184,30 +163,46 @@ class LinearHash:
         """
         pack = self._pack
         if pack is None:
-            words = max(1, (self.out_bits + 63) // 64)
-            rows_u64 = _np.array(self.rows, dtype=_np.uint64)
-            bitpos = _np.array([self.out_bits - 1 - r
-                                for r in range(self.out_bits)],
-                               dtype=_np.int64)
-            offset_words = _np.zeros(words, dtype=_np.uint64)
-            for r, b in enumerate(self.offsets):
-                if b:
-                    col = words - 1 - (int(bitpos[r]) >> 6)
-                    offset_words[col] |= _np.uint64(1) << _np.uint64(
-                        int(bitpos[r]) & 63)
-            pack = {
-                "rows": rows_u64,
-                "shifts": (bitpos & 63).astype(_np.uint64),
-                "cols": (words - 1 - (bitpos >> 6)).astype(_np.int64),
-                "words": words,
-                "offset_words": offset_words,
-            }
+            pack = {"tables": self._byte_tables(),
+                    "offset_words": self._words(self.packed_offset())}
             with _PACK_LOCK:
                 if self._pack is None:
                     self._pack = pack
                 else:
                     pack = self._pack
         return pack
+
+    def _words(self, value: int):
+        """``value`` split into uint64 words, most significant first."""
+        words = max(1, (self.out_bits + 63) // 64)
+        return _np.array([(value >> (64 * (words - 1 - w))) & _WORD_MASK
+                          for w in range(words)], dtype=_np.uint64)
+
+    def _byte_tables(self):
+        """Per-input-byte tables of ``A (v << 8j)``, built by doubling:
+        entries ``[2^b, 2^(b+1))`` are entries ``[0, 2^b)`` XOR column
+        ``8j + b`` of ``A``."""
+        m, n = self.out_bits, self.in_bits
+        words = max(1, (m + 63) // 64)
+        # Column k of A in the value layout: row r's bit k lands at value
+        # bit m - 1 - r, i.e. word words - 1 - (pos >> 6), bit pos & 63.
+        rows = _np.array([row & ((1 << n) - 1) for row in self.rows],
+                         dtype=_np.uint64)
+        bits = (rows[:, _np.newaxis]
+                >> _np.arange(n, dtype=_np.uint64)) & _np.uint64(1)
+        pos = _np.arange(m - 1, -1, -1, dtype=_np.int64)
+        bits <<= (pos & 63).astype(_np.uint64)[:, _np.newaxis]
+        word_of_row = words - 1 - (pos >> 6)
+        basis = _np.zeros((8 * ((n + 7) // 8), words), dtype=_np.uint64)
+        for w in range(words):
+            basis[:n, w] = _np.bitwise_or.reduce(bits[word_of_row == w],
+                                                 axis=0)
+        basis = basis.reshape(-1, 8, words)
+        tables = _np.zeros((basis.shape[0], 256, words), dtype=_np.uint64)
+        for b in range(8):
+            tables[:, 1 << b:2 << b] = \
+                tables[:, :1 << b] ^ basis[:, b, _np.newaxis, :]
+        return tables
 
     def value(self, x: int) -> int:
         """Full hash value, row 0 at the MSB."""
@@ -252,8 +247,7 @@ class LinearHash:
         xs = _np.asarray(xs, dtype=_np.uint64)
         pack = self._packed()
         return get_kernel(self.kernel).linear_values_batch(
-            xs, pack["rows"], pack["shifts"],
-            pack["offset_words"][0])  # h(x) = Ax ^ b, b folded once.
+            xs, pack["tables"], pack["offset_words"][0])
 
     def values_batch_words(self, xs) -> "object":
         """Vectorised :meth:`value` for arbitrary ``out_bits``: an
@@ -268,8 +262,7 @@ class LinearHash:
         xs = _np.asarray(xs, dtype=_np.uint64)
         pack = self._packed()
         return get_kernel(self.kernel).linear_values_batch_words(
-            xs, pack["rows"], pack["shifts"], pack["cols"],
-            pack["words"], pack["offset_words"])
+            xs, pack["tables"], pack["offset_words"])
 
     @staticmethod
     def words_to_int(word_row) -> int:
@@ -294,25 +287,17 @@ class LinearHash:
             return [self.cell_level(int(x)) for x in xs]
         xs = _np.asarray(xs, dtype=_np.uint64)
         m = self.out_bits
+        kernel = get_kernel(self.kernel)
         if m <= 64:
             # cell_level(v) == out_bits - bit_length(v): hash the chunk in
             # one cached-layout sweep, then a per-element bit length.
-            return m - get_kernel(self.kernel).bit_length_batch(
-                self.values_batch(xs))
-        pack = self._packed()
-        rows = pack["rows"]
-        levels = _np.full(xs.shape, m, dtype=_np.int64)
-        undecided = _np.ones(xs.shape, dtype=bool)
-        for r in range(self.out_bits):
-            if not undecided.any():
-                break
-            bits = _parity_u64(xs & rows[r])
-            if self.offsets[r]:
-                bits ^= _np.uint64(1)
-            hit = undecided & (bits == _np.uint64(1))
-            levels[hit] = r
-            undecided &= ~hit
-        return levels
+            return m - kernel.bit_length_batch(self.values_batch(xs))
+        # Multi-word values (MSW first): the bit length is that of the
+        # first nonzero word plus 64 per word after it.
+        words = self.values_batch_words(xs)
+        lengths = kernel.bit_length_batch(words.ravel()).reshape(words.shape)
+        below = 64 * _np.arange(words.shape[1] - 1, -1, -1, dtype=_np.int64)
+        return m - _np.where(lengths > 0, lengths + below, 0).max(axis=1)
 
     def in_cell(self, x: int, m: int) -> bool:
         """Bucketing membership test ``h_m(x) == 0^m``."""

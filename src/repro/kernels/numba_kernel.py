@@ -75,18 +75,15 @@ class NumbaKernel:
         mod_low = _np.uint64(modulus & ((1 << n) - 1))
         return self._gf2_eval_poly(coeffs, xs, out, top, mask, mod_low)
 
-    def linear_values_batch(self, xs, rows, shifts, offset0):
-        """Compiled single-word affine hash sweep."""
+    def linear_values_batch(self, xs, tables, offset0):
+        """Compiled single-word byte-table affine hash sweep."""
         out = _np.empty(xs.shape, dtype=_np.uint64)
-        return self._linear_values(xs, rows, shifts,
-                                   _np.uint64(offset0), out)
+        return self._linear_values(xs, tables, _np.uint64(offset0), out)
 
-    def linear_values_batch_words(self, xs, rows, shifts, cols, words,
-                                  offset_words):
-        """Compiled multi-word affine hash sweep (MSW first)."""
-        out = _np.empty((xs.shape[0], words), dtype=_np.uint64)
-        return self._linear_values_words(xs, rows, shifts, cols,
-                                         offset_words, out)
+    def linear_values_batch_words(self, xs, tables, offset_words):
+        """Compiled multi-word byte-table affine hash sweep (MSW first)."""
+        out = _np.empty((xs.shape[0], tables.shape[2]), dtype=_np.uint64)
+        return self._linear_values_words(xs, tables, offset_words, out)
 
     def trail_zeros_batch(self, values, out_bits: int):
         """Compiled per-element ``TrailZero``."""

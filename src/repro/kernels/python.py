@@ -7,9 +7,12 @@ access yields plain python ints, which the interpreter handles ~1.5x
 faster than numpy scalar indexing and without int32 wraparound
 surprises.  The batched hashing ops are the vectorised numpy paths
 factored out of :class:`repro.gf2.gf2n.GF2n` and
-:class:`repro.hashing.base.LinearHash` (SWAR parity / popcount over
-uint64 lanes), bit-identical to the scalar loops in
-:mod:`repro.kernels.batch_loops` that the ``numba`` kernel compiles.
+:class:`repro.hashing.base.LinearHash`: affine hashes XOR one byte-table
+gather per input byte (the tables cost ``ceil(in_bits/8) x 256 x
+words`` uint64 per hash, built once by ``LinearHash._packed``), and
+trail-zero / bit-length use SWAR popcount over uint64 lanes.  All are
+bit-identical to the scalar loops in :mod:`repro.kernels.batch_loops`
+that the ``numba`` kernel compiles, which read the same tables.
 """
 
 from __future__ import annotations
@@ -20,17 +23,6 @@ from repro.kernels import cdcl_loops
 from repro.kernels.cdcl_loops import RESIZE_WATCH, RESIZE_XWATCH
 
 
-def _parity_u64(a):
-    """Per-element parity of a uint64 array (bit-packed fold)."""
-    a = a ^ (a >> _np.uint64(32))
-    a = a ^ (a >> _np.uint64(16))
-    a = a ^ (a >> _np.uint64(8))
-    a = a ^ (a >> _np.uint64(4))
-    a = a ^ (a >> _np.uint64(2))
-    a = a ^ (a >> _np.uint64(1))
-    return (a & _np.uint64(1)).astype(_np.uint64)
-
-
 def _popcount_u64(a):
     """Per-element popcount of a uint64 array (SWAR)."""
     a = a - ((a >> _np.uint64(1)) & _np.uint64(0x5555555555555555))
@@ -38,6 +30,17 @@ def _popcount_u64(a):
         + (a & _np.uint64(0x3333333333333333))
     a = (a + (a >> _np.uint64(4))) & _np.uint64(0x0F0F0F0F0F0F0F0F)
     return (a * _np.uint64(0x0101010101010101)) >> _np.uint64(56)
+
+
+def _byte_table_values(xs, tables, offset_words):
+    """``A x ^ b`` as ``(N, words)`` uint64: one gather per input byte
+    from the byte tables, XOR-ed onto the offset."""
+    out = _np.empty((xs.shape[0], tables.shape[2]), dtype=_np.uint64)
+    out[:] = offset_words
+    for j in range(tables.shape[0]):
+        out ^= tables[j].take((xs >> _np.uint64(8 * j)) & _np.uint64(0xFF),
+                              axis=0)
+    return out
 
 
 class PythonKernel:
@@ -92,23 +95,17 @@ class PythonKernel:
             acc = res ^ coeffs[ci]
         return acc
 
-    def linear_values_batch(self, xs, rows, shifts, offset0):
+    def linear_values_batch(self, xs, tables, offset0):
         """Affine hash values for ``out_bits <= 64``: uint64 array, row 0
-        at the MSB of the value; ``offset0`` is the packed offset word."""
-        out = _np.zeros(xs.shape, dtype=_np.uint64)
-        for r in range(len(rows)):
-            out |= _parity_u64(xs & rows[r]) << shifts[r]
-        return out ^ offset0
+        at the MSB of the value; ``tables`` is the byte-table layout of
+        :meth:`repro.hashing.base.LinearHash._packed` and ``offset0``
+        the packed offset word."""
+        return _byte_table_values(xs, tables, offset0)[:, 0]
 
-    def linear_values_batch_words(self, xs, rows, shifts, cols, words,
-                                  offset_words):
+    def linear_values_batch_words(self, xs, tables, offset_words):
         """Affine hash values for arbitrary ``out_bits``: ``(N, words)``
         uint64 array, most significant word first."""
-        out = _np.zeros((xs.shape[0], words), dtype=_np.uint64)
-        for r in range(len(rows)):
-            out[:, cols[r]] |= _parity_u64(xs & rows[r]) << shifts[r]
-        out ^= offset_words[_np.newaxis, :]
-        return out
+        return _byte_table_values(xs, tables, offset_words)
 
     def trail_zeros_batch(self, values, out_bits: int):
         """Per-element ``TrailZero`` of uint64 hash values (int64 out;

@@ -4,10 +4,10 @@ Every counter in the paper bottoms out in the same two inner loops --
 NP-oracle search (watched-literal clause propagation plus watched-XOR row
 evaluation in :class:`repro.sat.solver.CdclSolver`) and hash evaluation
 (:meth:`repro.gf2.gf2n.GF2n.eval_poly_batch` Horner sweeps,
-:class:`repro.hashing.base.LinearHash` packed-row multiplies, trail-zero /
-bit-length SWAR tricks).  This registry makes *which code runs those
-loops* a configuration flag, mirroring the solver-backend registry in
-:mod:`repro.sat.backends`:
+:class:`repro.hashing.base.LinearHash` byte-table affine hashing,
+trail-zero / bit-length SWAR tricks).  This registry makes *which code
+runs those loops* a configuration flag, mirroring the solver-backend
+registry in :mod:`repro.sat.backends`:
 
 * ``python`` (default) -- the pure-python/numpy paths factored out of the
   original implementations; zero dependencies beyond numpy.
@@ -25,7 +25,12 @@ A kernel is an object with the loop surface documented in DESIGN.md
 :class:`repro.kernels.state.SolverState`, plus the batched hashing ops
 ``gf2_eval_poly_batch`` / ``linear_values_batch`` /
 ``linear_values_batch_words`` / ``trail_zeros_batch`` /
-``bit_length_batch``.  Both registered kernels are bit-identical by
+``bit_length_batch``.  The affine-hash ops take the byte tables of
+:meth:`repro.hashing.base.LinearHash._packed` -- ``tables[j, v]`` is
+``A (v << 8j)`` as ``ceil(out_bits/64)`` uint64 words, most significant
+first, ``ceil(in_bits/8) x 256`` entries per hash (12 KiB for a 24 ->
+72-bit hash) -- plus the offset words, and XOR one entry per input
+byte.  Both registered kernels are bit-identical by
 contract (``tests/test_kernels.py`` enforces it); a kernel that is merely
 *approximately* right would silently break the golden-pinned determinism
 tests, so the parity suite is the price of admission for a new entry.

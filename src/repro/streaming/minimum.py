@@ -11,12 +11,14 @@ the exact count); the paper's condensed formula ``Thresh * 2^m / max`` is
 only meaningful for full sketches and degenerates below ``Thresh`` -- see
 EXPERIMENTS.md, deviations table.
 
-Batch ingestion: a chunk is hashed in one vectorised GF(2) sweep
-(bit-packed for ``out_bits <= 64``, multi-word otherwise -- the ``3n``-bit
-range overflows a machine word beyond 21-bit universes), deduped and
-sorted in numpy, and only the chunk's ``Thresh`` smallest distinct values
-survive as candidates -- the Thresh smallest of the union are necessarily
-among (current sketch) union (Thresh smallest of the chunk), so the
+Batch ingestion: a chunk is hashed in one vectorised GF(2) sweep (one
+byte-table gather per input byte; one uint64 word per value for
+``out_bits <= 64``, several otherwise -- the ``3n``-bit range overflows a
+machine word beyond 21-bit universes), values that cannot make the cut
+are dropped on their high word, the rest are deduped and sorted in numpy,
+and only the chunk's ``Thresh`` smallest distinct values survive as
+candidates -- the Thresh smallest of the union are necessarily among
+(current sketch) union (Thresh smallest of the chunk), so the
 Python-level work per chunk is O(Thresh), not O(chunk).
 """
 
@@ -67,20 +69,39 @@ class MinimumRow:
             return
         cutoff = -self._neg_heap[0] if self.is_full else None
         if h.out_bits <= 64:
-            values = _np.unique(_np.asarray(h.values_batch(xs),
-                                            dtype=_np.uint64))
+            values = _np.asarray(h.values_batch(xs), dtype=_np.uint64)
             if cutoff is not None:
                 values = values[values < _np.uint64(cutoff)]
-            candidates = [int(v) for v in values[:self.thresh]]
+            candidates = [int(v) for v in _np.unique(values)[:self.thresh]]
         else:
             words = h.values_batch_words(xs)
             if words is None:  # pragma: no cover - guarded above
                 for x in xs:
                     self.process(int(x))
                 return
+            high = words[:, 0]
+            if cutoff is not None:
+                # Every value below the cutoff has a high word at most the
+                # cutoff's; the rest cannot enter a full row.  Dropping
+                # them before the dedupe keeps the result identical.
+                bound = _np.uint64(cutoff >> (64 * (words.shape[1] - 1)))
+            elif len(words) > self.thresh:
+                # At least Thresh rows have a high word at most the
+                # Thresh-th smallest; rows above it are larger than all
+                # of those, so they are needed only if colliding hashes
+                # leave fewer than Thresh distinct rows at or below it.
+                bound = _np.partition(high, self.thresh - 1)[self.thresh - 1]
+            else:
+                bound = None
             # Lexicographic row order == numeric value order (MSB word
             # first), so the first Thresh unique rows are the smallest.
-            words = _np.unique(words, axis=0)[:self.thresh]
+            if bound is None:
+                selected = _np.unique(words, axis=0)
+            else:
+                selected = _np.unique(words[high <= bound], axis=0)
+                if cutoff is None and len(selected) < self.thresh:
+                    selected = _np.unique(words, axis=0)
+            words = selected[:self.thresh]
             candidates = [h.words_to_int(row) for row in words]
         self.insert_values(candidates)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import InvalidParameterError
+from repro.hashing.base import LinearHash
 from repro.hashing.kwise import KWiseHashFamily
 from repro.hashing.toeplitz import ToeplitzHashFamily
 from repro.streaming.base import (
@@ -159,6 +160,70 @@ class TestMinimumBulkInsert:
         b = MinimumRow(fam.sample(rng), 4)
         with pytest.raises(ValueError):
             a.merge(b)
+
+
+class TestMinimumWideCollisions:
+    """The wide (``out_bits > 64``) batch path selects candidates on the
+    high word before deduping.  A rank-deficient hash maps many inputs to
+    one value, so a selection that counts rows instead of distinct values
+    would drop a value the scalar loop keeps."""
+
+    IN_BITS, OUT_BITS, THRESH = 12, 72, 20
+
+    def _hash(self, seed: int, high_bits: int) -> LinearHash:
+        # Rows 0..7 form the high word of a 72-bit value; they read only
+        # the low ``high_bits`` input bits (0: every high word ties).  The
+        # other rows read input bits 0..7, so each value has 16 preimages.
+        rng = random.Random(seed)
+        rows = [rng.getrandbits(high_bits) if r < 8 else rng.getrandbits(8)
+                for r in range(self.OUT_BITS)]
+        offsets = [rng.getrandbits(1) for _ in range(self.OUT_BITS)]
+        return LinearHash(self.IN_BITS, rows, offsets)
+
+    @pytest.mark.parametrize("high_bits", [0, 2, 4, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_equals_scalar_under_collisions(self, seed, high_bits):
+        h = self._hash(seed, high_bits)
+        assert h.out_bits > 64
+        rng = random.Random(100 + seed)
+        items = list(range(1 << self.IN_BITS))
+        rng.shuffle(items)
+        batch = MinimumRow(h, self.THRESH)
+        scalar = MinimumRow(h, self.THRESH)
+        # A collision-heavy first chunk, then chunks of every size; once
+        # the row is full each straddles the cutoff and, for narrow high
+        # words, ties with the cutoff's high word.
+        sizes = [600, 1, 7, 40, 300, 1000, 2148]
+        start = 0
+        for size in sizes:
+            chunk = items[start:start + size]
+            start += size
+            batch.process_batch(chunk)
+            for x in chunk:
+                scalar.process(x)
+            assert batch.values() == scalar.values()
+        assert batch.is_full
+
+    def test_full_row_with_tied_high_words(self):
+        h = self._hash(7, 0)
+        scalar = MinimumRow(h, self.THRESH)
+        batch = MinimumRow(h, self.THRESH)
+        xs = list(range(1 << self.IN_BITS))
+        for x in xs[:256]:
+            scalar.process(x)
+        batch.insert_values(scalar.values())
+        assert batch.is_full
+        cutoff = scalar.values()[-1]
+        high = cutoff >> 64
+        assert all(h.value(x) >> 64 == high for x in xs)
+        below = [x for x in xs if h.value(x) < cutoff]
+        above = [x for x in xs if h.value(x) > cutoff]
+        assert below and above
+        chunk = below[:50] + above[:50] + below[:50]
+        batch.process_batch(chunk)
+        for x in chunk:
+            scalar.process(x)
+        assert batch.values() == scalar.values()
 
 
 class TestShardedF0:

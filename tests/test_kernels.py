@@ -2,7 +2,7 @@
 
 Every registered kernel must be **bit-identical** through every surface
 it serves: same model sequences and oracle-call counts out of the CDCL
-solver, same GF(2^n) polynomial evaluations, same packed-row affine hash
+solver, same GF(2^n) polynomial evaluations, same byte-table affine hash
 values, same trail-zero/bit-length answers -- and therefore the same
 sketches and estimates out of the counters.  A kernel that is merely
 *approximately* right would silently break the golden-pinned determinism
@@ -46,6 +46,7 @@ from repro.kernels import (
     resolve_kernel_name,
     set_default_kernel,
 )
+from repro.kernels import batch_loops
 from repro.kernels import registry as kregistry
 from repro.kernels import state as kstate
 from repro.sat.bruteforce import brute_force_models
@@ -168,20 +169,48 @@ class TestHashingParity:
     @pytest.mark.parametrize("kernel", AVAILABLE)
     @pytest.mark.parametrize("out_bits", [1, 20, 64, 70, 130])
     def test_linear_hash_batches(self, kernel, out_bits):
-        rng = random.Random(out_bits)
-        h = ToeplitzHashFamily(20, out_bits, kernel=kernel).sample(rng)
-        xs = np.array([rng.getrandbits(20) for _ in range(64)],
-                      dtype=np.uint64)
+        # A one-bit input, a partial last byte, exact byte boundaries and
+        # full 64-bit inputs.
+        for in_bits in (1, 7, 8, 9, 24, 64):
+            self._check_linear_hash(kernel, in_bits, out_bits)
+
+    @staticmethod
+    def _check_linear_hash(kernel, in_bits, out_bits):
+        rng = random.Random(100 * in_bits + out_bits)
+        h = ToeplitzHashFamily(in_bits, out_bits, kernel=kernel).sample(rng)
+        # In-range inputs, inputs carrying bits above in_bits (the scalar
+        # value ignores them, so the byte tables must too) and the
+        # extremes, including a 64-bit input with the top bit set.
+        xs = np.array([rng.getrandbits(in_bits) for _ in range(48)]
+                      + [rng.getrandbits(64) for _ in range(16)]
+                      + [0, 1 << (in_bits - 1), (1 << in_bits) - 1,
+                         1 << 63, (1 << 64) - 1], dtype=np.uint64)
         expected = [h.value(int(x)) for x in xs]
+        assert expected == [h.value(int(x) & ((1 << in_bits) - 1))
+                            for x in xs]
+        words = h.values_batch_words(xs)
+        assert [h.words_to_int(row) for row in words] == expected
         if out_bits <= 64:
             values = h.values_batch(xs)
             assert [int(v) for v in values] == expected
-        else:
-            words = h.values_batch_words(xs)
-            assert [h.words_to_int(row) for row in words] == expected
+        assert [int(v) for v in h.cell_levels_batch(xs)] == \
+            [h.cell_level(int(x)) for x in xs]
         tz = h.trail_zeros_batch(xs)
         assert [int(t) for t in tz] == \
             [trailing_zeros(h.value(int(x)), out_bits) for x in xs]
+        # The loop sources the numba kernel compiles, run uncompiled on
+        # the same byte tables.
+        pack = h._packed()
+        out = np.empty((len(xs), len(pack["offset_words"])),
+                       dtype=np.uint64)
+        batch_loops.linear_values_words(xs, pack["tables"],
+                                        pack["offset_words"], out)
+        assert [h.words_to_int(row) for row in out] == expected
+        if out_bits <= 64:
+            out = np.empty(len(xs), dtype=np.uint64)
+            batch_loops.linear_values(xs, pack["tables"],
+                                      pack["offset_words"][0], out)
+            assert [int(v) for v in out] == expected
 
     @pytest.mark.parametrize("kernel", AVAILABLE)
     def test_bitvec_batches(self, kernel):

@@ -522,8 +522,7 @@ class TestPackedCacheConcurrency:
             for result in results:
                 assert result == reference
             # Exactly one pack object won the publish: a complete dict.
-            assert set(h._pack) == {"rows", "shifts", "cols", "words",
-                                    "offset_words"}
+            assert set(h._pack) == {"tables", "offset_words"}
 
     def test_publish_is_single_assignment(self):
         """Readers may race the builder but must only ever observe None
